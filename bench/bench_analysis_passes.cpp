@@ -6,12 +6,13 @@
 ///
 /// Google-benchmark timings of the static analysis pipeline
 /// (analysis/passes/): one full standardPipeline() run over a lowered
-/// schedule, and the tuner-gate workload — analyzing every enumerated
-/// feasible configuration of a stencil, the exact set the pre-JIT gate
-/// walks on each tune. The per-candidate cost bounds how much static
-/// checking a tuning session can afford before it starts competing with
-/// the measured sweep itself; tools/bench_emulator.sh dumps the results
-/// to BENCH_analysis.json to track the trajectory PR over PR.
+/// schedule, and the tuner-gate workload — the tuner's real pre-JIT gate
+/// (verifyScheduleIR with the problem, then standardPipeline()) over every
+/// enumerated feasible configuration of a stencil. The per-candidate cost
+/// bounds how much static checking a tuning session can afford before it
+/// starts competing with the measured sweep itself; tools/bench_emulator.sh
+/// dumps the results to BENCH_analysis.json to track the trajectory PR
+/// over PR.
 ///
 /// Lowering is done in setup (it is the scheduler's cost, benched
 /// elsewhere); the timed region is analysis only. Every analyzed
@@ -20,6 +21,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "analysis/ScheduleVerifier.h"
 #include "analysis/passes/AnalysisPass.h"
 #include "schedule/ScheduleIR.h"
 #include "stencils/Benchmarks.h"
@@ -92,13 +94,19 @@ void runPipelineBench(benchmark::State &State, const std::string &Name) {
 }
 
 /// The tuner-gate workload: every enumerated feasible configuration of
-/// the stencil analyzed back to back. items/s is candidates per second.
+/// the stencil through the tuner's two gates back to back — the schedule
+/// verifier, then the pass pipeline. items/s is candidates per second.
 void runSweepGateBench(benchmark::State &State, const std::string &Name) {
   Workload W = makeWorkload(Name);
   AnalysisPassManager Manager = AnalysisPassManager::standardPipeline();
+  const ProblemSize Problem =
+      ProblemSize::paperDefault(W.Program->numDims());
 
   for (auto _ : State) {
     for (const ScheduleIR &IR : W.Schedules) {
+      AnalysisReport Verdict = verifyScheduleIR(IR, &Problem);
+      requireClean(Verdict, Name);
+      benchmark::DoNotOptimize(Verdict.Findings.data());
       AnalysisInput Input;
       Input.Program = W.Program.get();
       Input.Schedule = &IR;

@@ -5,9 +5,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// Table 4 of the paper: the evaluation GPUs (float | double columns).
-/// These values parameterize the whole performance model; on this GPU-less
-/// machine they are constants rather than measurements, as documented in
-/// EXPERIMENTS.md.
+/// These values parameterize the whole performance model. They are the
+/// paper's published constants, not measurements: no GPU is measured, and
+/// GPU figures are model/simulator outputs (README "Tuning").
 ///
 //===----------------------------------------------------------------------===//
 

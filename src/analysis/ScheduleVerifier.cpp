@@ -10,25 +10,27 @@
 #include "sim/TimeBlockScheduler.h"
 
 #include <algorithm>
-#include <cstdarg>
-#include <cstdio>
+#include <cstdint>
+#include <string>
+#include <vector>
 
 using namespace an5d;
+using std::to_string;
 
 namespace {
 
-/// printf-style std::string builder for diagnostic messages.
-std::string format(const char *Fmt, ...) {
-  va_list Args;
-  va_start(Args, Fmt);
-  char Buffer[512];
-  std::vsnprintf(Buffer, sizeof(Buffer), Fmt, Args);
-  va_end(Args);
-  return Buffer;
+void error(AnalysisReport &Report, const char *Id, std::string Subject,
+           std::string Message) {
+  AnalysisFinding F;
+  F.Id = Id;
+  F.Severity = FindingSeverity::Error;
+  F.Pass = "schedule-verifier";
+  F.Subject = std::move(Subject);
+  F.Message = std::move(Message);
+  Report.Findings.push_back(std::move(F));
 }
 
-/// Closed integer interval [Lo, Hi] (non-empty by construction here: every
-/// interval the verifier forms spans at least one cell).
+/// Closed integer interval [Lo, Hi].
 struct Span {
   long long Lo = 0;
   long long Hi = 0;
@@ -36,374 +38,333 @@ struct Span {
   bool within(const Span &Outer) const {
     return Lo >= Outer.Lo && Hi <= Outer.Hi;
   }
+  std::string str() const {
+    return "[" + to_string(Lo) + ", " + to_string(Hi) + "]";
+  }
 };
 
-/// Minimum and maximum tap offset along \p Axis (0 = streaming).
-Span tapRange(const std::vector<std::vector<int>> &Taps, int Axis) {
-  Span R{0, 0};
+/// Minimum and maximum tap offset along \p Axis (0 = streaming); always
+/// contains offset 0, the cell being updated.
+Span tapRange(const std::vector<std::vector<int>> &Taps, std::size_t Axis) {
+  Span R;
   for (const std::vector<int> &Tap : Taps) {
-    if (Axis >= static_cast<int>(Tap.size()))
-      continue;
-    R.Lo = std::min<long long>(R.Lo, Tap[static_cast<size_t>(Axis)]);
-    R.Hi = std::max<long long>(R.Hi, Tap[static_cast<size_t>(Axis)]);
+    R.Lo = std::min<long long>(R.Lo, Tap[Axis]);
+    R.Hi = std::max<long long>(R.Hi, Tap[Axis]);
   }
   return R;
 }
 
-void addViolation(std::vector<ScheduleViolation> &Out,
-                  ScheduleViolationKind Kind, int Degree, int Tier, int Axis,
-                  long long Offset, std::string Message) {
-  ScheduleViolation V;
-  V.Kind = Kind;
-  V.Degree = Degree;
-  V.Tier = Tier;
-  V.Axis = Axis;
-  V.Offset = Offset;
-  V.Message = std::move(Message);
-  Out.push_back(std::move(V));
-}
-
-} // namespace
-
-const char *an5d::scheduleViolationKindName(ScheduleViolationKind Kind) {
-  switch (Kind) {
-  case ScheduleViolationKind::ConfigArity:
-    return "config-arity";
-  case ScheduleViolationKind::BlockTooSmall:
-    return "block-too-small";
-  case ScheduleViolationKind::HaloViolation:
-    return "halo-violation";
-  case ScheduleViolationKind::RingClobber:
-    return "ring-clobber";
-  case ScheduleViolationKind::WaveOrderViolation:
-    return "wave-order-violation";
-  case ScheduleViolationKind::RaceOverlap:
-    return "race-overlap";
-  case ScheduleViolationKind::CoverageGap:
-    return "coverage-gap";
-  case ScheduleViolationKind::TimeScheduleInvariant:
-    return "time-schedule-invariant";
-  }
-  return "unknown";
-}
-
-std::string ScheduleViolation::toString() const {
-  std::string S = "[";
-  S += scheduleViolationKindName(Kind);
-  S += format("] degree %d", Degree);
+/// "degree D[ tier T][ axis A]": where a finding sits (axis 0 is the
+/// streaming axis). Built only when a finding is reported.
+std::string where(int Degree, int Tier = -1, std::size_t Axis = SIZE_MAX) {
+  std::string Out = "degree " + to_string(Degree);
   if (Tier >= 0)
-    S += format(" tier %d", Tier);
-  if (Axis >= 0)
-    S += format(" axis %d", Axis);
-  S += ": ";
-  S += Message;
-  return S;
-}
-
-Diagnostic ScheduleViolation::toDiagnostic() const {
-  Diagnostic D;
-  D.Kind = DiagnosticKind::Error;
-  D.Message = toString();
-  return D;
-}
-
-std::string ScheduleVerifyResult::toString() const {
-  if (Violations.empty())
-    return format("schedule proven safe (%d degree%s checked)",
-                  DegreesChecked, DegreesChecked == 1 ? "" : "s");
-  std::string S;
-  for (const ScheduleViolation &V : Violations) {
-    if (!S.empty())
-      S += "\n";
-    S += V.toString();
-  }
-  return S;
-}
-
-void ScheduleVerifyResult::render(DiagnosticEngine &Diags) const {
-  for (const ScheduleViolation &V : Violations)
-    Diags.report(V.toDiagnostic());
-}
-
-ScheduleModel an5d::buildScheduleModel(const StencilProgram &Program,
-                                       const BlockConfig &Config,
-                                       int Degree) {
-  // The verifier owns no schedule derivation of its own: the plan it
-  // checks is the one schedule/ScheduleIR lowers for every backend.
-  return lowerInvocation(Program, Config, Degree);
-}
-
-std::vector<ScheduleViolation>
-an5d::verifyScheduleModel(const ScheduleModel &M) {
-  std::vector<ScheduleViolation> Out;
-  const int D = M.Degree;
-
-  // Structural sanity: the blocked-axis vectors must agree with the
-  // dimensionality before any per-axis reasoning makes sense.
-  const size_t NumBlocked = M.BS.size();
-  if (static_cast<int>(NumBlocked) != M.NumDims - 1 ||
-      M.ComputeWidth.size() != NumBlocked ||
-      M.BlockStride.size() != NumBlocked ||
-      M.StoreWidth.size() != NumBlocked) {
-    addViolation(Out, ScheduleViolationKind::ConfigArity, D, -1, -1, 0,
-                 format("bS carries %zu entr%s but the stencil has %d "
-                        "non-streaming dimension%s",
-                        M.BS.size(), M.BS.size() == 1 ? "y" : "ies",
-                        M.NumDims - 1, M.NumDims - 1 == 1 ? "" : "s"));
-    return Out;
-  }
-  if (D < 1 || M.Tiers.size() != static_cast<size_t>(D)) {
-    addViolation(Out, ScheduleViolationKind::TimeScheduleInvariant, D, -1, -1,
-                 0,
-                 format("invocation degree %d needs exactly %d computing "
-                        "tier%s (model has %zu)",
-                        D, std::max(D, 0), D == 1 ? "" : "s",
-                        M.Tiers.size()));
-    return Out;
-  }
-
-  // 1. Global grid halo: every tap of a valid computation (and every
-  // boundary-pinning read) lands inside the padded allocation.
-  for (int Axis = 0; Axis < M.NumDims; ++Axis) {
-    const Span Tap = tapRange(M.Taps, Axis);
-    if (Tap.Lo < -M.GridHalo || Tap.Hi > M.GridHalo) {
-      const long long Bad = Tap.Hi > M.GridHalo ? Tap.Hi : Tap.Lo;
-      addViolation(Out, ScheduleViolationKind::HaloViolation, D, -1, Axis,
-                   Bad,
-                   format("tap offset %+lld exceeds the allocated grid halo "
-                          "of %lld cell%s per side",
-                          Bad, M.GridHalo, M.GridHalo == 1 ? "" : "s"));
-    }
-  }
-
-  // 2. Blocked axes: compute width, then the per-tier containment chain
-  // (reads within the loaded span and within the producer's valid
-  // region), then the final tier's store region.
-  for (size_t A = 0; A < NumBlocked; ++A) {
-    const int Axis = static_cast<int>(A) + 1;
-    const long long CW = M.ComputeWidth[A];
-    if (CW < 1) {
-      addViolation(Out, ScheduleViolationKind::BlockTooSmall, D, -1, Axis, CW,
-                   format("compute width %lld is not positive (bS=%lld needs "
-                          "2*%d*%d halo cells): the halo consumes the block",
-                          CW, M.BS[A], D, M.Radius));
-      continue; // Per-tier intervals are meaningless on this axis.
-    }
-    const Span LoadSpan{-M.LoadSpanHalo, M.BS[A] - 1 - M.LoadSpanHalo};
-    const Span Tap = tapRange(M.Taps, Axis);
-    for (size_t I = 0; I < M.Tiers.size(); ++I) {
-      const TierModel &T = M.Tiers[I];
-      const Span Valid{-T.Reach, CW - 1 + T.Reach};
-      const Span Reads{Valid.Lo + Tap.Lo, Valid.Hi + Tap.Hi};
-      if (!Reads.within(LoadSpan)) {
-        addViolation(Out, ScheduleViolationKind::HaloViolation, D, T.Tier,
-                     Axis, Reads.Lo < LoadSpan.Lo ? Tap.Lo : Tap.Hi,
-                     format("reads lanes [%lld, %lld] outside the loaded "
-                            "block span [%lld, %lld]",
-                            Reads.Lo, Reads.Hi, LoadSpan.Lo, LoadSpan.Hi));
-        continue;
-      }
-      if (I > 0) {
-        const TierModel &P = M.Tiers[I - 1];
-        const Span Produced{-P.Reach, CW - 1 + P.Reach};
-        if (!Reads.within(Produced))
-          addViolation(Out, ScheduleViolationKind::HaloViolation, D, T.Tier,
-                       Axis, Reads.Lo < Produced.Lo ? Tap.Lo : Tap.Hi,
-                       format("reads lanes [%lld, %lld] outside tier %d's "
-                              "valid region [%lld, %lld]",
-                              Reads.Lo, Reads.Hi, P.Tier, Produced.Lo,
-                              Produced.Hi));
-      }
-    }
-    // Stores must come from cells the final tier actually evaluated.
-    const TierModel &Last = M.Tiers.back();
-    const Span Store{0, M.StoreWidth[A] - 1};
-    const Span LastValid{-Last.Reach, CW - 1 + Last.Reach};
-    if (M.StoreWidth[A] >= 1 && !Store.within(LastValid))
-      addViolation(Out, ScheduleViolationKind::HaloViolation, D, Last.Tier,
-                   Axis, Store.Hi - LastValid.Hi,
-                   format("stores lanes [0, %lld] beyond its valid region "
-                          "[%lld, %lld]",
-                          Store.Hi, LastValid.Lo, LastValid.Hi));
-  }
-
-  // 3. Streaming axis: each tier's computed plane range, widened by the
-  // stream taps, must stay within what its producer has (symbolically in
-  // the chunk bounds, so only the reach offsets compare).
-  const Span StreamTap = tapRange(M.Taps, 0);
-  for (size_t I = 0; I < M.Tiers.size(); ++I) {
-    const TierModel &T = M.Tiers[I];
-    const long long ProducerReach =
-        I == 0 ? M.LoadStreamReach : M.Tiers[I - 1].Reach;
-    const int ProducerTier = I == 0 ? 0 : M.Tiers[I - 1].Tier;
-    const Span Reads{-T.Reach + StreamTap.Lo, T.Reach + StreamTap.Hi};
-    if (!Reads.within(Span{-ProducerReach, ProducerReach}))
-      addViolation(Out, ScheduleViolationKind::HaloViolation, D, T.Tier, 0,
-                   Reads.Hi > ProducerReach ? StreamTap.Hi : StreamTap.Lo,
-                   format("needs producer sub-planes at chunk offsets "
-                          "[%lld, %lld] but tier %d only covers "
-                          "[%lld, %lld]",
-                          Reads.Lo, Reads.Hi, ProducerTier, -ProducerReach,
-                          ProducerReach));
-  }
-
-  // 4. Ring capacity and wavefront order. Consumer tier T at streaming
-  // step s reads producer plane p + o (p = s - StreamLag_T, o a stream
-  // tap); the producer writes plane q at step q + StreamLag_P. The plane
-  // must already be written (wave order) and must not share a ring slot
-  // with a later plane the producer has also written (clobber).
-  for (size_t I = 0; I < M.Tiers.size(); ++I) {
-    const TierModel &T = M.Tiers[I];
-    const long long ProducerLag = I == 0 ? 0 : M.Tiers[I - 1].StreamLag;
-    const int ProducerOrder =
-        I == 0 ? M.LoadOrderPosition : M.Tiers[I - 1].OrderPosition;
-    const int ProducerTier = I == 0 ? 0 : M.Tiers[I - 1].Tier;
-    const long long LagDiff = T.StreamLag - ProducerLag;
-    const bool ProducerFirst = ProducerOrder < T.OrderPosition;
-
-    // Wave order, worst case at the most positive stream tap: the read
-    // plane is written at step p + o + ProducerLag, which must precede
-    // the read at step p + StreamLag_T.
-    if (StreamTap.Hi > LagDiff ||
-        (StreamTap.Hi == LagDiff && !ProducerFirst))
-      addViolation(Out, ScheduleViolationKind::WaveOrderViolation, D, T.Tier,
-                   0, StreamTap.Hi,
-                   format("reads sub-plane p%+lld that producer tier %d has "
-                          "not written at read time (producer lags %lld "
-                          "plane%s behind%s)",
-                          StreamTap.Hi, ProducerTier, LagDiff,
-                          LagDiff == 1 ? "" : "s",
-                          StreamTap.Hi == LagDiff && !ProducerFirst
-                              ? ", and runs after the consumer within a step"
-                              : ""));
-
-    // Ring clobber, worst case at the most negative stream tap: the slot
-    // of plane p + o is reused by plane p + o + RingDepth, which the
-    // producer writes at step p + o + RingDepth + ProducerLag. That step
-    // must still be in the future at read time.
-    const long long Slack = ProducerFirst ? 0 : 1;
-    if (M.RingDepth + StreamTap.Lo + Slack <= LagDiff)
-      addViolation(Out, ScheduleViolationKind::RingClobber, D, T.Tier, 0,
-                   StreamTap.Lo,
-                   format("ring depth %lld is too shallow: producer tier %d "
-                          "overwrites the slot of sub-plane p%+lld before "
-                          "tier %d reads it (needs depth > %lld)",
-                          M.RingDepth, ProducerTier, StreamTap.Lo, T.Tier,
-                          LagDiff - StreamTap.Lo - Slack));
-  }
-
-  // 5. Race freedom and coverage of the concurrent work-item grid: the
-  // chunk x block OpenMP worksharing set partitions the interior iff
-  // adjacent strides neither overlap (a static data race on `out`) nor
-  // leave gaps.
-  for (size_t A = 0; A < NumBlocked; ++A) {
-    const int Axis = static_cast<int>(A) + 1;
-    const long long Stride = M.BlockStride[A];
-    const long long Store = M.StoreWidth[A];
-    if (Store < 1)
-      continue; // Degenerate store already reported as BlockTooSmall.
-    if (Stride < Store)
-      addViolation(Out, ScheduleViolationKind::RaceOverlap, D, -1, Axis,
-                   Store - Stride,
-                   format("adjacent blocks write %lld overlapping cell%s "
-                          "(origin stride %lld < stored width %lld)",
-                          Store - Stride, Store - Stride == 1 ? "" : "s",
-                          Stride, Store));
-    else if (Stride > Store)
-      addViolation(Out, ScheduleViolationKind::CoverageGap, D, -1, Axis,
-                   Stride - Store,
-                   format("adjacent blocks leave %lld cell%s unwritten "
-                          "(origin stride %lld > stored width %lld)",
-                          Stride - Store, Stride - Store == 1 ? "" : "s",
-                          Stride, Store));
-  }
-  if (M.ChunkLength > 0) {
-    if (M.ChunkStride < M.ChunkLength)
-      addViolation(Out, ScheduleViolationKind::RaceOverlap, D, -1, 0,
-                   M.ChunkLength - M.ChunkStride,
-                   format("adjacent stream chunks write %lld overlapping "
-                          "sub-plane%s (chunk stride %lld < length %lld)",
-                          M.ChunkLength - M.ChunkStride,
-                          M.ChunkLength - M.ChunkStride == 1 ? "" : "s",
-                          M.ChunkStride, M.ChunkLength));
-    else if (M.ChunkStride > M.ChunkLength)
-      addViolation(Out, ScheduleViolationKind::CoverageGap, D, -1, 0,
-                   M.ChunkStride - M.ChunkLength,
-                   format("adjacent stream chunks leave %lld sub-plane%s "
-                          "unwritten (chunk stride %lld > length %lld)",
-                          M.ChunkStride - M.ChunkLength,
-                          M.ChunkStride - M.ChunkLength == 1 ? "" : "s",
-                          M.ChunkStride, M.ChunkLength));
-  }
-
+    Out += " tier " + to_string(Tier);
+  if (Axis != SIZE_MAX)
+    Out += " axis " + to_string(Axis);
   return Out;
 }
 
-namespace {
+/// AN5D-A210. Returns false when \p Inv is too malformed for the per-axis
+/// and per-tier checks to index into it.
+bool checkStructure(const ScheduleIR &IR, const InvocationSchedule &Inv,
+                    AnalysisReport &Report) {
+  auto Malformed = [&](std::string Message) {
+    error(Report, "AN5D-A210", where(Inv.Degree), std::move(Message));
+  };
 
-ScheduleVerifyResult verifyScheduleIRImpl(const ScheduleIR &IR,
-                                          const ProblemSize *Problem) {
-  ScheduleVerifyResult Result;
-  const BlockConfig &Config = IR.Config;
-
-  if (Config.BT < 1) {
-    addViolation(Result.Violations,
-                 ScheduleViolationKind::TimeScheduleInvariant, Config.BT, -1,
-                 -1, 0,
-                 format("temporal blocking degree bT=%d must be >= 1",
-                        Config.BT));
-    return Result;
+  bool Ok = true;
+  if (Inv.NumDims < 1 || Inv.Radius < 1 || Inv.Degree < 1) {
+    Malformed("non-positive NumDims, Radius or Degree");
+    Ok = false;
   }
-  if (static_cast<int>(Config.BS.size()) != IR.NumDims - 1) {
-    addViolation(Result.Violations, ScheduleViolationKind::ConfigArity,
-                 Config.BT, -1, -1, 0,
-                 format("bS carries %zu entr%s but %s has %d non-streaming "
-                        "dimension%s",
-                        Config.BS.size(), Config.BS.size() == 1 ? "y" : "ies",
-                        IR.StencilName.c_str(), IR.NumDims - 1,
-                        IR.NumDims - 1 == 1 ? "" : "s"));
-    return Result;
+  if (Inv.NumDims != IR.NumDims || Inv.Radius != IR.Radius ||
+      Inv.GridHalo != IR.GridHalo || Inv.RingDepth != IR.RingDepth ||
+      Inv.HaloPolicy != IR.HaloPolicy) {
+    Malformed("invocation disagrees with the shared ScheduleIR invariants");
+    Ok = false;
   }
-
-  // The host schedule (Section 4.3.1) can issue any degree in [1, bT], so
-  // a config is safe only when every degree's invocation is. The IR
-  // carries exactly those invocations — no re-lowering here.
-  for (const InvocationSchedule &Invocation : IR.Invocations) {
-    std::vector<ScheduleViolation> V = verifyScheduleModel(Invocation);
-    Result.Violations.insert(Result.Violations.end(),
-                             std::make_move_iterator(V.begin()),
-                             std::make_move_iterator(V.end()));
-    ++Result.DegreesChecked;
+  if (Inv.RingDepth < 1) {
+    Malformed("ring depth must be at least 1");
+    Ok = false;
+  }
+  if (Inv.GridHalo < 0 || Inv.LoadSpanHalo < 0 || Inv.LoadStreamReach < 0 ||
+      Inv.ChunkLength < 0 || Inv.ChunkStride < 0) {
+    Malformed("negative halo, reach or chunk field");
+    Ok = false;
   }
 
-  if (Problem && Problem->TimeSteps > 0) {
-    const std::vector<int> Degrees =
-        scheduleTimeBlocks(Problem->TimeSteps, Config.BT);
-    const std::string Broken =
-        describeTimeBlockScheduleViolation(Degrees, Problem->TimeSteps,
-                                           Config.BT);
-    if (!Broken.empty())
-      addViolation(Result.Violations,
-                   ScheduleViolationKind::TimeScheduleInvariant, Config.BT,
-                   -1, -1, 0, Broken);
+  const std::size_t Blocked =
+      Inv.NumDims > 1 ? static_cast<std::size_t>(Inv.NumDims - 1) : 0;
+  if (Inv.BS.size() != Blocked || Inv.ComputeWidth.size() != Blocked ||
+      Inv.BlockStride.size() != Blocked || Inv.StoreWidth.size() != Blocked) {
+    Malformed("bS carries " + to_string(Inv.BS.size()) +
+              " entries but the stencil has " + to_string(Blocked) +
+              " non-streaming dimensions (or the per-axis widths disagree)");
+    return false;
+  }
+  for (std::size_t A = 0; A < Blocked; ++A) {
+    const std::string On = " on axis " + to_string(A + 1);
+    if (Inv.ComputeWidth[A] < 1) {
+      Malformed("compute width " + to_string(Inv.ComputeWidth[A]) + On +
+                " is not positive: bS=" + to_string(Inv.BS[A]) +
+                " cannot hold 2*" + to_string(Inv.Degree) + "*" +
+                to_string(Inv.Radius) + " halo cells");
+      Ok = false;
+    } else if (Inv.BS[A] < 1 || Inv.BlockStride[A] < 1 ||
+               Inv.StoreWidth[A] < 1) {
+      Malformed("non-positive block span, stride or store width" + On);
+      Ok = false;
+    }
   }
 
-  return Result;
+  if (Inv.Tiers.size() != static_cast<std::size_t>(std::max(Inv.Degree, 0))) {
+    Malformed("degree " + to_string(Inv.Degree) +
+              " needs one computing tier per degree but the invocation has " +
+              to_string(Inv.Tiers.size()));
+    return false;
+  }
+  for (std::size_t T = 0; T < Inv.Tiers.size(); ++T) {
+    if (Inv.Tiers[T].Tier != static_cast<int>(T) + 1) {
+      Malformed("tier numbering broken at position " + to_string(T));
+      Ok = false;
+    }
+    if (Inv.Tiers[T].StreamLag < 0 || Inv.Tiers[T].Reach < 0) {
+      Malformed("negative stream lag or reach at tier " + to_string(T + 1));
+      Ok = false;
+    }
+  }
+
+  for (std::size_t K = 0; K < Inv.Taps.size(); ++K) {
+    if (static_cast<int>(Inv.Taps[K].size()) != Inv.NumDims) {
+      Malformed("tap " + to_string(K) + " arity does not match NumDims");
+      return false;
+    }
+  }
+  return Ok;
+}
+
+/// Every per-invocation check, A201-A211 and A213-A214.
+void checkInvocation(const ScheduleIR &IR, const InvocationSchedule &Inv,
+                     AnalysisReport &Report) {
+  if (!checkStructure(IR, Inv, Report))
+    return;
+  const int D = Inv.Degree;
+  const std::size_t NumDims = static_cast<std::size_t>(Inv.NumDims);
+  const std::size_t Blocked = Inv.BS.size();
+
+  // AN5D-A211: the 1D pure-streaming schedule (no blocked axes) is the
+  // only shape without a spatial halo to carry.
+  const bool WantsPin = Blocked == 0;
+  const bool IsPin = Inv.HaloPolicy == ScheduleHaloPolicy::PinBoundaryOnly;
+  if (WantsPin != IsPin)
+    error(Report, "AN5D-A211", where(D),
+          std::string("halo policy ") +
+              scheduleHaloPolicyName(Inv.HaloPolicy) +
+              (WantsPin ? " on a schedule with no blocked axes"
+                        : " on a schedule with blocked axes"));
+
+  // The buffers allocate the widest tap per side (sim/Grid's radius).
+  std::vector<Span> Taps;
+  long long AllocHalo = 0;
+  for (std::size_t Axis = 0; Axis < NumDims; ++Axis) {
+    Taps.push_back(tapRange(Inv.Taps, Axis));
+    AllocHalo = std::max({AllocHalo, -Taps[Axis].Lo, Taps[Axis].Hi});
+  }
+
+  // AN5D-A201: tier-0 stream loads are clamped to [-GridHalo,
+  // E-1+GridHalo], which must stay inside the allocation for every extent.
+  if (Inv.GridHalo > AllocHalo)
+    error(Report, "AN5D-A201", where(D, -1, 0),
+          "stream-axis loads reach " + to_string(Inv.GridHalo) +
+              " cells past the edge but only " + to_string(AllocHalo) +
+              " are allocated");
+
+  // AN5D-A202: blocked-axis loads are clipped by the Exists region
+  // [-Radius, E+Radius) before touching the buffers.
+  for (std::size_t Axis = 1; Axis < NumDims; ++Axis)
+    if (Inv.Radius > AllocHalo)
+      error(Report, "AN5D-A202", where(D, -1, Axis),
+            "blocked-axis loads reach " + to_string(Inv.Radius) +
+                " cells past the edge but only " + to_string(AllocHalo) +
+                " are allocated");
+
+  // AN5D-A203: every tap of a valid computation, and every boundary
+  // pinning read, lands inside the grid halo.
+  for (std::size_t Axis = 0; Axis < NumDims; ++Axis) {
+    const long long Widest = std::max(-Taps[Axis].Lo, Taps[Axis].Hi);
+    if (Inv.GridHalo < Widest)
+      error(Report, "AN5D-A203", where(D, -1, Axis),
+            "grid halo " + to_string(Inv.GridHalo) +
+                " is smaller than the widest tap offset " + to_string(Widest));
+  }
+
+  // Per-tier pipeline checks. The producer of tier T is tier T-1; tier 1
+  // consumes the tier-0 load stage (lag 0, position LoadOrderPosition,
+  // stream reach LoadStreamReach).
+  const Span StreamTap = Taps[0];
+  for (std::size_t I = 0; I < Inv.Tiers.size(); ++I) {
+    const TierSchedule &Tier = Inv.Tiers[I];
+    const TierSchedule *Producer = I == 0 ? nullptr : &Inv.Tiers[I - 1];
+    const int ProducerTier = Producer ? Producer->Tier : 0;
+    const long long ProducerLag = Producer ? Producer->StreamLag : 0;
+    const int ProducerPos =
+        Producer ? Producer->OrderPosition : Inv.LoadOrderPosition;
+    const long long ProducerReach =
+        Producer ? Producer->Reach : Inv.LoadStreamReach;
+    const long long LagDiff = Tier.StreamLag - ProducerLag;
+
+    // AN5D-A205: at step s the consumer reads the producer's sub-plane
+    // s - StreamLag + StreamTap.Hi. A same-step read needs the producer to
+    // run earlier in the step; otherwise only step s-1 is written.
+    const long long Newest =
+        ProducerPos < Tier.OrderPosition ? LagDiff : LagDiff - 1;
+    if (Newest < StreamTap.Hi)
+      error(Report, "AN5D-A205", where(D, Tier.Tier, 0),
+            "reads the sub-plane at stream tap " + to_string(StreamTap.Hi) +
+                " before producer tier " + to_string(ProducerTier) +
+                " has written it (lag difference " + to_string(LagDiff) +
+                (ProducerPos < Tier.OrderPosition
+                     ? ")"
+                     : ", producer not ordered before the consumer)"));
+
+    // AN5D-A204: the oldest consumed sub-plane s - StreamLag +
+    // StreamTap.Lo is overwritten (slot reuse) RingDepth planes after
+    // production; it must survive until the consumer's read. Equality is
+    // tolerable only when the consumer runs before the producer within
+    // the step.
+    const long long LifetimeNeed = LagDiff - StreamTap.Lo;
+    if (Inv.RingDepth < LifetimeNeed ||
+        (Inv.RingDepth == LifetimeNeed && Tier.OrderPosition >= ProducerPos))
+      error(Report, "AN5D-A204", where(D, Tier.Tier, 0),
+            "ring depth " + to_string(Inv.RingDepth) +
+                " cannot hold a sub-plane of producer tier " +
+                to_string(ProducerTier) + " for the " +
+                to_string(LifetimeNeed) +
+                " steps between production and last read");
+
+    // AN5D-A214: the tier's computed planes, widened by the stream taps,
+    // must stay within what its producer covers around the chunk
+    // (symbolic in the chunk bounds, so only the reach offsets compare).
+    const Span StreamReads{-Tier.Reach + StreamTap.Lo,
+                           Tier.Reach + StreamTap.Hi};
+    const Span StreamCovered{-ProducerReach, ProducerReach};
+    if (!StreamReads.within(StreamCovered))
+      error(Report, "AN5D-A214", where(D, Tier.Tier, 0),
+            "needs producer sub-planes at chunk offsets " +
+                StreamReads.str() + " but tier " + to_string(ProducerTier) +
+                " only covers " + StreamCovered.str());
+
+    // Blocked axes: a tier evaluates lanes across its valid region
+    // [-Reach, CW-1+Reach] and reads them widened by the taps. The reads
+    // must fall inside the loaded span [-LoadSpanHalo, BS-1-LoadSpanHalo]
+    // (the ring rows) and inside the producer tier's valid region.
+    for (std::size_t A = 0; A < Blocked; ++A) {
+      const Span &Tap = Taps[A + 1];
+      const long long CW = Inv.ComputeWidth[A];
+      const Span Reads{-Tier.Reach + Tap.Lo, CW - 1 + Tier.Reach + Tap.Hi};
+      // AN5D-A206 / AN5D-A207: ring lane underflow / overflow.
+      if (Reads.Lo < -Inv.LoadSpanHalo)
+        error(Report, "AN5D-A206", where(D, Tier.Tier, A + 1),
+              "ring lane underflow: load-span halo " +
+                  to_string(Inv.LoadSpanHalo) + " does not cover reach " +
+                  to_string(Tier.Reach) + " plus tap " + to_string(Tap.Lo));
+      if (Reads.Hi > Inv.BS[A] - 1 - Inv.LoadSpanHalo)
+        error(Report, "AN5D-A207", where(D, Tier.Tier, A + 1),
+              "ring lane overflow: span needs " +
+                  to_string(Inv.LoadSpanHalo + Reads.Hi + 1) +
+                  " lanes but the block loads " + to_string(Inv.BS[A]));
+      // AN5D-A213: tier 1 reads the loaded span itself; later tiers read
+      // only what their producer computed.
+      if (Producer) {
+        const Span Produced{-Producer->Reach, CW - 1 + Producer->Reach};
+        if (!Reads.within(Produced))
+          error(Report, "AN5D-A213", where(D, Tier.Tier, A + 1),
+                "reads lanes " + Reads.str() + " outside tier " +
+                    to_string(ProducerTier) + "'s valid region " +
+                    Produced.str());
+      }
+    }
+  }
+
+  // AN5D-A208 / AN5D-A209: stores come from computed cells, and the
+  // chunk x block worksharing set partitions the interior: adjacent
+  // strides neither overlap (a data race on `out`) nor leave gaps.
+  auto Tiling = [&](std::size_t Axis, const char *Unit, long long Stride,
+                    long long Width) {
+    const std::string Detail =
+        " (stride " + to_string(Stride) + ", width " + to_string(Width) + ")";
+    if (Stride < Width)
+      error(Report, "AN5D-A209", where(D, -1, Axis),
+            "adjacent work items both write " + to_string(Width - Stride) +
+                " " + Unit + ", a data race" + Detail);
+    else if (Stride > Width)
+      error(Report, "AN5D-A209", where(D, -1, Axis),
+            "adjacent work items leave " + to_string(Stride - Width) + " " +
+                Unit + " unwritten" + Detail);
+  };
+  for (std::size_t A = 0; A < Blocked; ++A) {
+    if (Inv.StoreWidth[A] > Inv.ComputeWidth[A])
+      error(Report, "AN5D-A208", where(D, -1, A + 1),
+            "store width " + to_string(Inv.StoreWidth[A]) +
+                " exceeds computed width " + to_string(Inv.ComputeWidth[A]));
+    Tiling(A + 1, "cell(s)", Inv.BlockStride[A], Inv.StoreWidth[A]);
+  }
+  if (Inv.ChunkLength > 0)
+    Tiling(0, "sub-plane(s)", Inv.ChunkStride, Inv.ChunkLength);
+}
+
+/// AN5D-A212: the Section 4.3.1 host schedule for \p TimeSteps keeps its
+/// postconditions and only issues degrees the IR lowers.
+void checkHostSchedule(const ScheduleIR &IR, long long TimeSteps,
+                       AnalysisReport &Report) {
+  const int BT = IR.Config.BT;
+  const std::vector<int> Degrees = scheduleTimeBlocks(TimeSteps, BT);
+  const std::string Subject = "host schedule";
+  std::string Broken =
+      describeBrokenTimeBlockSchedule(Degrees, TimeSteps, BT);
+  if (!Broken.empty()) {
+    error(Report, "AN5D-A212", Subject, std::move(Broken));
+    return;
+  }
+  for (int Degree : Degrees) {
+    const std::size_t Index = static_cast<std::size_t>(Degree) - 1;
+    if (Index >= IR.Invocations.size() ||
+        IR.Invocations[Index].Degree != Degree) {
+      error(Report, "AN5D-A212", Subject,
+            "issues a degree-" + to_string(Degree) +
+                " call but the schedule lowers no invocation of that degree");
+      return;
+    }
+  }
 }
 
 } // namespace
 
-ScheduleVerifyResult an5d::verifyScheduleIR(const ScheduleIR &IR,
-                                            const ProblemSize *Problem) {
-  ScheduleVerifyResult Result = verifyScheduleIRImpl(IR, Problem);
+AnalysisReport an5d::verifyScheduleIR(const ScheduleIR &IR,
+                                      const ProblemSize *Problem) {
+  AnalysisReport Report;
+  const BlockConfig &Config = IR.Config;
+  if (Config.BT < 1 || IR.Invocations.empty()) {
+    error(Report, "AN5D-A210", IR.StencilName,
+          "schedule lowered no invocations (bT=" + to_string(Config.BT) +
+              ")");
+  } else if (static_cast<int>(Config.BS.size()) != IR.NumDims - 1) {
+    error(Report, "AN5D-A210", IR.StencilName,
+          "bS carries " + to_string(Config.BS.size()) + " entries but " +
+              IR.StencilName + " has " + to_string(IR.NumDims - 1) +
+              " non-streaming dimensions");
+  } else {
+    // The host schedule can issue any degree in [1, bT], so a config is
+    // safe only when every degree's invocation is. The IR carries exactly
+    // those invocations; nothing is re-lowered here.
+    for (const InvocationSchedule &Inv : IR.Invocations)
+      checkInvocation(IR, Inv, Report);
+    if (Problem && Problem->TimeSteps > 0)
+      checkHostSchedule(IR, Problem->TimeSteps, Report);
+  }
   obs::count("verifier.checks");
-  if (!Result.proven())
+  if (!Report.proven())
     obs::count("verifier.rejections");
-  return Result;
-}
-
-ScheduleVerifyResult an5d::verifySchedule(const StencilProgram &Program,
-                                          const BlockConfig &Config,
-                                          const ProblemSize *Problem) {
-  return verifyScheduleIR(lowerSchedule(Program, Config), Problem);
+  return Report;
 }

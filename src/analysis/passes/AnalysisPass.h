@@ -8,16 +8,16 @@
 /// A small pass framework for static analyses over the lowered pipeline
 /// state: typed passes run over (StencilProgram, ExprPlan, ScheduleIR) and
 /// emit structured findings with stable IDs (`AN5D-A###`), one severity
-/// each, and both human and JSON renderings. It is the layer above the
-/// PR-6 ScheduleVerifier: the verifier proves one schedule's shape; the
-/// passes here prove tape well-formedness, buffer-access bounds, and
-/// compute static resource features for the tuner's cost model.
+/// each, and both human and JSON renderings. The passes prove tape
+/// well-formedness and compute static resource features for the tuner's
+/// cost model; schedule safety has its own checker,
+/// analysis/ScheduleVerifier.h, which reports in the same finding model.
 ///
 /// Finding IDs are append-only and never reused — tests, the `--analyze`
 /// JSON report and the README glossary all key on them:
 ///
 ///   AN5D-A1xx  TapeVerifier       (analysis/passes/TapeVerifier.h)
-///   AN5D-A2xx  AccessBoundsProver (analysis/passes/AccessBoundsProver.h)
+///   AN5D-A2xx  schedule verifier  (analysis/ScheduleVerifier.h)
 ///   AN5D-A3xx  ResourceEstimator  (analysis/passes/ResourceEstimator.h)
 ///
 /// The AnalysisPassManager wraps each pass run in an "analysis.pass" obs
@@ -128,9 +128,9 @@ public:
 
   std::size_t numPasses() const { return Passes.size(); }
 
-  /// The shipped pipeline: tape-verifier, access-bounds, then
-  /// resource-estimator — the order an5dc --analyze and the tuner's
-  /// pre-JIT gate both run.
+  /// The shipped pipeline: tape-verifier, then resource-estimator — the
+  /// order an5dc --analyze and the tuner's pre-JIT gate both run, after
+  /// verifyScheduleIR.
   static AnalysisPassManager standardPipeline();
 
   AnalysisReport run(const AnalysisInput &Input) const;

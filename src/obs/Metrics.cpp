@@ -291,7 +291,6 @@ const std::vector<std::string> &knownMetricNames() {
       "measure.failures.build_failed",      // kernel generation/compile/load
       "measure.failures.never_built",       // compile stage never produced it
       "measure.failures.run_rejected",      // an5d_run returned non-zero
-      "measure.failures.verifier_rejected", // static schedule proof refused
       "measure.repeats",              // timed kernel repetitions
       "measure.run_seconds",          // histogram: timed kernel runs
       "measure.warmups",              // untimed warmup runs

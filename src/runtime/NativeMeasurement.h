@@ -51,15 +51,6 @@ struct NativeMeasureOptions {
   /// several problem sizes) reuse that warmup (an5dc --measure-repeats
   /// sets the timed count).
   int Repeats = 2;
-
-  /// Statically verify each candidate's schedule
-  /// (analysis/ScheduleVerifier.h) before spending compile time on it; a
-  /// rejected candidate never reaches the compiler and carries the
-  /// verifier's verdict in MeasuredResult::FailureReason. Infeasible
-  /// configurations still report through the build path as before — the
-  /// verifier gates only configurations the feasibility model accepts,
-  /// so a rejection flags model/verifier disagreement.
-  bool VerifySchedule = true;
 };
 
 /// A problem size small enough for wall-clock candidate timing on a CPU
@@ -107,14 +98,17 @@ extern template KernelTiming
 timeNativeKernel<double>(const NativeExecutor &, const ProblemSize &, int,
                          int, int, bool);
 
-/// Runs every candidate through a compiled kernel: each candidate is
-/// lowered to its ScheduleIR exactly once (or reuses the IR the tuner
-/// handed down in SweepCandidate::Schedule), compilation fans out across
-/// \p Options.CompileThreads workers (candidates sharing a configuration
-/// — the same config timed against several problem sizes, or register-cap
-/// variants — share one executor and its warmup), timing runs serially in
-/// candidate order. Results are indexed exactly like \p Candidates;
-/// infeasible or failed-to-build candidates come back with
+/// Runs every candidate through a compiled kernel. Precondition:
+/// candidates arrive already gated — the sweep never re-verifies a
+/// schedule; its caller (Tuner) runs verifyScheduleIR and the analysis
+/// pass pipeline once per candidate before handing it down. Each
+/// candidate is lowered to its ScheduleIR exactly once (or reuses the IR
+/// the tuner handed down in SweepCandidate::Schedule), compilation fans
+/// out across \p Options.CompileThreads workers (candidates sharing a
+/// configuration — the same config timed against several problem sizes,
+/// or register-cap variants — share one executor and its warmup), timing
+/// runs serially in candidate order. Results are indexed exactly like
+/// \p Candidates; infeasible or failed-to-build candidates come back with
 /// Feasible == false, and candidates whose kernel failed to build or
 /// rejected the run carry the reason in MeasuredResult::FailureReason.
 /// \p Cache may be null (a private cache over Options.Runtime.CacheDir is

@@ -18,7 +18,10 @@
 ///  * very high register pressure (high-order 3D box stencils) degrades
 ///    achievable throughput beyond what the model sees.
 ///
-/// All deviations from real hardware are documented in EXPERIMENTS.md.
+/// Each deviation from real hardware is a named calibration constant
+/// (MeasuredSimulator.cpp, GpuSpec) commented with the paper section it
+/// reproduces;
+/// README "Tuning" places the simulator in the tuning flow.
 ///
 /// This simulator models hardware we do not have. For measurements on
 /// hardware we *do* have, the native runtime (runtime/NativeMeasurement.h)
@@ -50,17 +53,15 @@ namespace an5d {
 /// to communicate failures through free-form FailureReason strings only,
 /// which downstream consumers (an5dc warnings, the metrics counters) had
 /// to re-parse; the kind is the machine-readable classification, the
-/// string stays the human-readable detail (compiler log, verifier
-/// verdict).
+/// string stays the human-readable detail (compiler log, run status).
 enum class MeasureFailureKind {
-  None,             ///< No failure (or model-infeasible: silently pruned).
-  VerifierRejected, ///< Static schedule verification refused the config.
-  BuildFailed,      ///< Kernel generation, compilation or loading failed.
-  NeverBuilt,       ///< The compile stage never produced this kernel.
-  RunRejected,      ///< The compiled kernel returned a non-zero status.
+  None,        ///< No failure (or model-infeasible: silently pruned).
+  BuildFailed, ///< Kernel generation, compilation or loading failed.
+  NeverBuilt,  ///< The compile stage never produced this kernel.
+  RunRejected, ///< The compiled kernel returned a non-zero status.
 };
 
-/// Short lowercase label for a failure kind ("verifier_rejected", ...;
+/// Short lowercase label for a failure kind ("build_failed", ...;
 /// empty for None) — the vocabulary shared by an5dc's warning text and
 /// the metric names.
 const char *measureFailureKindLabel(MeasureFailureKind Kind);

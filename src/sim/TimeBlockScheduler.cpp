@@ -46,8 +46,8 @@ std::vector<int> scheduleTimeBlocks(long long TimeSteps, int BT) {
 }
 
 std::string
-describeTimeBlockScheduleViolation(const std::vector<int> &Degrees,
-                                   long long TimeSteps, int BT) {
+describeBrokenTimeBlockSchedule(const std::vector<int> &Degrees,
+                                long long TimeSteps, int BT) {
   long long Sum = 0;
   for (std::size_t I = 0; I < Degrees.size(); ++I) {
     if (Degrees[I] < 1 || Degrees[I] > BT)

@@ -37,8 +37,8 @@ std::vector<int> scheduleTimeBlocks(long long TimeSteps, int BT);
 /// Returns an empty string when they all hold, otherwise a description of
 /// the first broken invariant (LLVM diagnostic style). The schedule
 /// verifier uses this to validate host schedules it did not produce.
-std::string describeTimeBlockScheduleViolation(const std::vector<int> &Degrees,
-                                               long long TimeSteps, int BT);
+std::string describeBrokenTimeBlockSchedule(const std::vector<int> &Degrees,
+                                            long long TimeSteps, int BT);
 
 } // namespace an5d
 

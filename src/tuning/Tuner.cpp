@@ -63,6 +63,19 @@ Tuner::enumerateConfigs(const StencilProgram &Program) const {
   return Configs;
 }
 
+namespace {
+
+/// The first Error finding of a gate's report, rendered for
+/// TuneOutcome's representative-rejection strings.
+std::string firstError(const AnalysisReport &Report) {
+  for (const AnalysisFinding &F : Report.Findings)
+    if (F.Severity == FindingSeverity::Error)
+      return F.toString();
+  return std::string();
+}
+
+} // namespace
+
 double quantizedModelScore(double Gflops) {
   // Float's 2^-24 relative quantum is ~10 orders of magnitude above the
   // double-rounding noise the model can accumulate, so scores that differ
@@ -190,12 +203,13 @@ Tuner::tuneAcrossProblems(const StencilProgram &Program,
         AN5D_TRACE_SPAN("tune.lower");
         return lowerSchedule(Program, Candidate.Config);
       }();
-      // Static schedule verification gates the sweep: a candidate the
-      // interval analysis cannot prove safe never reaches the compiler.
+      // Two gates, each run once per candidate, before any kernel is
+      // compiled: the schedule verifier, then the dataflow passes (tape
+      // discipline and the resource features the sweep candidates carry).
       // rankByModel only emits feasibility-pruned configs, so a rejection
-      // here means the model and the verifier disagree — worth surfacing
-      // loudly rather than timing a kernel with a latent race.
-      ScheduleVerifyResult Verdict = [&] {
+      // means the model and the checkers disagree — worth surfacing loudly
+      // rather than timing a kernel with a latent race.
+      AnalysisReport Verdict = [&] {
         AN5D_TRACE_SPAN("tune.verify");
         return verifyScheduleIR(Lowered, &Problems[P]);
       }();
@@ -204,14 +218,9 @@ Tuner::tuneAcrossProblems(const StencilProgram &Program,
         obs::count("tuner.verifier_rejections");
         if (Outcomes[P].FirstRejectionReason.empty())
           Outcomes[P].FirstRejectionReason =
-              Candidate.Config.toString() + ": " +
-              Verdict.Violations.front().toString();
+              Candidate.Config.toString() + ": " + firstError(Verdict);
         continue;
       }
-      // The dataflow pass pipeline runs next to the verifier on the same
-      // IR: tape discipline, symbolic access bounds, and the resource
-      // features the sweep candidates carry. An Error finding rejects the
-      // candidate pre-JIT, exactly like a verifier refutation.
       AnalysisInput PassInput;
       PassInput.Program = &Program;
       PassInput.Schedule = &Lowered;
@@ -222,15 +231,9 @@ Tuner::tuneAcrossProblems(const StencilProgram &Program,
       if (!Analysis.proven()) {
         ++Outcomes[P].AnalysisRejections;
         obs::count("tuner.analysis_rejections");
-        if (Outcomes[P].FirstAnalysisRejection.empty()) {
-          for (const AnalysisFinding &F : Analysis.Findings) {
-            if (F.Severity != FindingSeverity::Error)
-              continue;
-            Outcomes[P].FirstAnalysisRejection =
-                Candidate.Config.toString() + ": " + F.toString();
-            break;
-          }
-        }
+        if (Outcomes[P].FirstAnalysisRejection.empty())
+          Outcomes[P].FirstAnalysisRejection =
+              Candidate.Config.toString() + ": " + firstError(Analysis);
         continue;
       }
       ResourceEstimate Resources = estimateResources(Program, Lowered);
@@ -306,7 +309,8 @@ BlockConfig Tuner::sconf(const StencilProgram &Program) {
   } else {
     // The paper abbreviates STENCILGEN's 3D block shape; 32x32 is the
     // shape its released 3D kernels use and keeps bT=4 halos feasible for
-    // second-order stencils (interpretation documented in EXPERIMENTS.md).
+    // second-order stencils. This block shape is our interpretation, not a
+    // value the paper states.
     Config.BS = {32, 32};
     Config.HS = 0; // streaming division disabled for 3D (Section 6.3)
   }

@@ -75,22 +75,23 @@ struct TuneOutcome {
   /// instead of re-parsing the free-form string.
   MeasureFailureKind FirstFailureKind = MeasureFailureKind::None;
 
-  /// Model-ranked candidates the schedule verifier
-  /// (analysis/ScheduleVerifier.h) statically rejected before any kernel
-  /// was compiled — distinct from model-infeasible candidates (silently
-  /// pruned in stage 1) and from MeasurementFailures (the backend tried
-  /// and failed). Non-zero means the feasibility model and the verifier
+  /// Model-ranked candidates the schedule verifier (verifyScheduleIR,
+  /// analysis/ScheduleVerifier.h) rejected with an AN5D-A2xx Error before
+  /// any kernel was compiled — distinct from model-infeasible candidates
+  /// (silently pruned in stage 1) and from MeasurementFailures (the
+  /// backend tried and failed). The verifier runs exactly once per ranked
+  /// candidate. Non-zero means the feasibility model and the verifier
   /// disagree; the cross-check suite keeps this at zero for every
   /// enumerated configuration.
   std::size_t VerifierRejections = 0;
-  std::string FirstRejectionReason; ///< Representative verifier verdict.
+  std::string FirstRejectionReason; ///< Representative verifier finding.
 
-  /// Candidates the static analysis pipeline (analysis/passes/) rejected
-  /// with an Error-severity finding after the schedule verifier had
-  /// already accepted them — tape breakage or an access-bounds
-  /// refutation the shape checks cannot see. Like VerifierRejections,
-  /// this stays at zero for every enumerated configuration; non-zero
-  /// means lowering and the dataflow passes disagree.
+  /// Candidates the analysis pass pipeline (standardPipeline():
+  /// tape verifier, resource estimator) rejected with an Error finding
+  /// after the schedule verifier had accepted them — a tape defect the
+  /// schedule checks cannot see. Like VerifierRejections, this stays at
+  /// zero for every enumerated configuration; non-zero means lowering and
+  /// the dataflow passes disagree.
   std::size_t AnalysisRejections = 0;
   std::string FirstAnalysisRejection; ///< Representative finding.
 };

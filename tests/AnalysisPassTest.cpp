@@ -8,16 +8,17 @@
 ///
 ///  - framework: finding rendering (string / diagnostic / JSON), report
 ///    aggregation, pass manager wiring and its obs metrics;
-///  - soundness: every builtin stencil, at every enumerated feasible
-///    configuration, lowers to a tape and schedule the passes prove clean;
+///  - soundness: every builtin stencil lowers to a tape the tape verifier
+///    proves clean (the schedule-level property over every enumerated
+///    configuration lives in ScheduleIrTest);
 ///  - completeness: mutation tests corrupt exactly one fact of a known-good
-///    tape or schedule and assert the one finding ID that must catch it,
-///    plus fixed-seed fuzzing over random DSL programs and random tape
+///    tape and assert the one finding ID that must catch it, plus
+///    fixed-seed fuzzing over random DSL programs and random tape
 ///    corruptions (never crash; structured findings or success only).
+///    Schedule mutations live in ScheduleVerifierTest.
 ///
 //===----------------------------------------------------------------------===//
 
-#include "analysis/passes/AccessBoundsProver.h"
 #include "analysis/passes/AnalysisPass.h"
 #include "analysis/passes/ResourceEstimator.h"
 #include "analysis/passes/TapeVerifier.h"
@@ -44,35 +45,6 @@ namespace {
 TapeFacts factsOf(const StencilProgram &Program) {
   return TapeFacts::of(Program.plan(), Program);
 }
-
-/// j2d5pt at bT=2 bS=64: the canonical known-good schedule the mutation
-/// tests corrupt one field at a time.
-struct GoodSchedule {
-  std::unique_ptr<StencilProgram> Program;
-  ScheduleIR IR;
-
-  explicit GoodSchedule(long long HS = 0) {
-    Program = makeBenchmarkStencil("j2d5pt", ScalarType::Float);
-    BlockConfig Config;
-    Config.BT = 2;
-    Config.BS = {64};
-    Config.HS = HS;
-    IR = lowerSchedule(*Program, Config);
-  }
-
-  AnalysisReport prove() const {
-    return proveAccessBounds(IR, Program->radius());
-  }
-
-  /// Shared invariants must change on the IR and every invocation in
-  /// lockstep, or AN5D-A210 (structural disagreement) fires instead of
-  /// the invariant check under test.
-  template <typename Fn> void mutateShared(Fn &&Mutate) {
-    Mutate(IR.GridHalo, IR.RingDepth, IR.Radius, IR.HaloPolicy);
-    for (InvocationSchedule &Inv : IR.Invocations)
-      Mutate(Inv.GridHalo, Inv.RingDepth, Inv.Radius, Inv.HaloPolicy);
-  }
-};
 
 std::vector<std::string> allBuiltinNames() {
   std::vector<std::string> Names = benchmarkStencilNames();
@@ -146,7 +118,7 @@ TEST(AnalysisFramework, ReportJsonRoundTrips) {
   AnalysisFinding F;
   F.Id = "AN5D-A207";
   F.Severity = FindingSeverity::Error;
-  F.Pass = "access-bounds";
+  F.Pass = "schedule-verifier";
   F.Subject = "degree 2 tier 1 axis 0";
   F.Message = "ring lane overflow with \"quotes\" and\nnewline";
   Report.Findings.push_back(F);
@@ -165,7 +137,7 @@ TEST(AnalysisFramework, ReportJsonRoundTrips) {
   ASSERT_NE(First.find("id"), nullptr);
   EXPECT_EQ(First.find("id")->String, "AN5D-A207");
   EXPECT_EQ(First.find("severity")->String, "error");
-  EXPECT_EQ(First.find("pass")->String, "access-bounds");
+  EXPECT_EQ(First.find("pass")->String, "schedule-verifier");
   EXPECT_EQ(First.find("subject")->String, "degree 2 tier 1 axis 0");
   EXPECT_EQ(First.find("message")->String,
             "ring lane overflow with \"quotes\" and\nnewline");
@@ -182,7 +154,7 @@ TEST(AnalysisFramework, StandardPipelineRunsAllPassesWithMetrics) {
   ScheduleIR IR = lowerSchedule(*Program, Config);
 
   AnalysisPassManager Passes = AnalysisPassManager::standardPipeline();
-  EXPECT_EQ(Passes.numPasses(), 3u);
+  EXPECT_EQ(Passes.numPasses(), 2u);
 
   obs::MetricsRegistry &Registry = obs::MetricsRegistry::global();
   long long RunsBefore = Registry.counterValue("analysis.pass_runs");
@@ -194,7 +166,7 @@ TEST(AnalysisFramework, StandardPipelineRunsAllPassesWithMetrics) {
   AnalysisReport Report = Passes.run(Input);
 
   EXPECT_TRUE(Report.Findings.empty()) << Report.toString();
-  EXPECT_EQ(Registry.counterValue("analysis.pass_runs") - RunsBefore, 3);
+  EXPECT_EQ(Registry.counterValue("analysis.pass_runs") - RunsBefore, 2);
   EXPECT_EQ(Registry.counterValue("analysis.findings") - FindingsBefore, 0);
 }
 
@@ -219,31 +191,6 @@ TEST(AnalysisSoundness, EveryBuiltinTapeVerifies) {
       EXPECT_TRUE(Report.Findings.empty())
           << Name << ": " << Report.toString();
     }
-}
-
-TEST(AnalysisSoundness, EveryEnumeratedConfigProvesClean) {
-  Tuner T(GpuSpec::teslaV100());
-  const AnalysisPassManager Passes = AnalysisPassManager::standardPipeline();
-  std::size_t Proven = 0;
-  for (const std::string &Name : allBuiltinNames()) {
-    auto Program = makeBenchmarkStencil(Name, ScalarType::Float);
-    ASSERT_NE(Program, nullptr) << Name;
-    for (const BlockConfig &Config : T.enumerateConfigs(*Program)) {
-      if (!Config.isFeasible(Program->radius()))
-        continue;
-      ScheduleIR IR = lowerSchedule(*Program, Config);
-      AnalysisInput Input;
-      Input.Program = Program.get();
-      Input.Schedule = &IR;
-      AnalysisReport Report = Passes.run(Input);
-      EXPECT_EQ(Report.errorCount(), 0u)
-          << Name << " " << Config.toString() << ": " << Report.toString();
-      ++Proven;
-    }
-  }
-  // The grid is supposed to be dense; an accidentally empty sweep would
-  // vacuously pass everything above.
-  EXPECT_GT(Proven, 1000u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -439,141 +386,6 @@ TEST(TapeMutation, A115NonFiniteConstantFold) {
   AnalysisReport Report = verifyTape(Facts);
   EXPECT_TRUE(Report.hasFinding("AN5D-A115")) << Report.toString();
   EXPECT_FALSE(Report.proven());
-}
-
-//===----------------------------------------------------------------------===//
-// Schedule mutations: one corrupted invariant, one finding ID
-//===----------------------------------------------------------------------===//
-
-TEST(ScheduleMutation, BaselineIsClean) {
-  GoodSchedule S;
-  AnalysisReport Report = S.prove();
-  EXPECT_TRUE(Report.Findings.empty()) << Report.toString();
-}
-
-TEST(ScheduleMutation, A201StreamLoadsPastAllocation) {
-  GoodSchedule S;
-  S.mutateShared([](long long &GridHalo, long long &, int &,
-                    ScheduleHaloPolicy &) { GridHalo += 1; });
-  AnalysisReport Report = S.prove();
-  EXPECT_TRUE(Report.hasFinding("AN5D-A201")) << Report.toString();
-  EXPECT_FALSE(Report.proven());
-}
-
-TEST(ScheduleMutation, A202BlockedLoadsPastAllocation) {
-  GoodSchedule S;
-  S.mutateShared([](long long &, long long &, int &Radius,
-                    ScheduleHaloPolicy &) { Radius += 1; });
-  AnalysisReport Report = S.prove();
-  EXPECT_TRUE(Report.hasFinding("AN5D-A202")) << Report.toString();
-  EXPECT_FALSE(Report.proven());
-}
-
-TEST(ScheduleMutation, A203GridHaloBelowStreamTaps) {
-  GoodSchedule S;
-  S.mutateShared([](long long &GridHalo, long long &, int &,
-                    ScheduleHaloPolicy &) { GridHalo = 0; });
-  AnalysisReport Report = S.prove();
-  EXPECT_TRUE(Report.hasFinding("AN5D-A203")) << Report.toString();
-  EXPECT_FALSE(Report.hasFinding("AN5D-A201"))
-      << "shrunk halo stays inside the allocation";
-  EXPECT_FALSE(Report.proven());
-}
-
-TEST(ScheduleMutation, A204RingTooShallowForLifetime) {
-  GoodSchedule S;
-  S.mutateShared([](long long &, long long &RingDepth, int &,
-                    ScheduleHaloPolicy &) { RingDepth -= 1; });
-  AnalysisReport Report = S.prove();
-  EXPECT_TRUE(Report.hasFinding("AN5D-A204")) << Report.toString();
-  EXPECT_FALSE(Report.proven());
-}
-
-TEST(ScheduleMutation, A205ConsumerOutrunsProducer) {
-  GoodSchedule S;
-  ASSERT_GE(S.IR.Invocations.size(), 2u);
-  S.IR.Invocations[1].Tiers[0].StreamLag = 0;
-  AnalysisReport Report = S.prove();
-  EXPECT_TRUE(Report.hasFinding("AN5D-A205")) << Report.toString();
-  EXPECT_FALSE(Report.proven());
-}
-
-TEST(ScheduleMutation, A206RingLaneUnderflow) {
-  GoodSchedule S;
-  ASSERT_GE(S.IR.Invocations.size(), 2u);
-  S.IR.Invocations[1].LoadSpanHalo -= 1;
-  AnalysisReport Report = S.prove();
-  EXPECT_TRUE(Report.hasFinding("AN5D-A206")) << Report.toString();
-  EXPECT_FALSE(Report.proven());
-}
-
-TEST(ScheduleMutation, A207RingLaneOverflow) {
-  GoodSchedule S;
-  ASSERT_GE(S.IR.Invocations.size(), 2u);
-  // Tier 1 needs exactly BS lanes (halo + compute + reach + tap), so any
-  // shrink of the loaded span overflows the span's last lanes.
-  S.IR.Invocations[1].BS[0] -= 2;
-  AnalysisReport Report = S.prove();
-  EXPECT_TRUE(Report.hasFinding("AN5D-A207")) << Report.toString();
-  EXPECT_FALSE(Report.proven());
-}
-
-TEST(ScheduleMutation, A208StoreWiderThanCompute) {
-  GoodSchedule S;
-  S.IR.Invocations[0].StoreWidth[0] += 1;
-  AnalysisReport Report = S.prove();
-  EXPECT_TRUE(Report.hasFinding("AN5D-A208")) << Report.toString();
-  EXPECT_FALSE(Report.proven());
-}
-
-TEST(ScheduleMutation, A209ChunkStrideGapIsWarn) {
-  GoodSchedule S(/*HS=*/128);
-  ASSERT_GT(S.IR.Invocations[0].ChunkLength, 0);
-  S.IR.Invocations[0].ChunkStride += 16;
-  AnalysisReport Report = S.prove();
-  EXPECT_TRUE(Report.hasFinding("AN5D-A209")) << Report.toString();
-  EXPECT_TRUE(Report.proven()) << "tiling gaps are advisory, not unsound";
-}
-
-TEST(ScheduleMutation, A210StructurallyMalformed) {
-  {
-    GoodSchedule S;
-    S.IR.Invocations.clear();
-    AnalysisReport Report = S.prove();
-    EXPECT_TRUE(Report.hasFinding("AN5D-A210")) << Report.toString();
-    EXPECT_FALSE(Report.proven());
-  }
-  {
-    GoodSchedule S;
-    S.IR.Invocations[1].Tiers.pop_back();
-    AnalysisReport Report = S.prove();
-    EXPECT_TRUE(Report.hasFinding("AN5D-A210")) << Report.toString();
-    EXPECT_FALSE(Report.proven());
-  }
-}
-
-TEST(ScheduleMutation, A211HaloPolicyContradictsShape) {
-  GoodSchedule S;
-  S.mutateShared([](long long &, long long &, int &,
-                    ScheduleHaloPolicy &Policy) {
-    Policy = ScheduleHaloPolicy::PinBoundaryOnly;
-  });
-  AnalysisReport Report = S.prove();
-  EXPECT_TRUE(Report.hasFinding("AN5D-A211")) << Report.toString();
-  EXPECT_FALSE(Report.proven());
-}
-
-TEST(SymBoundProof, AffineComparisonNeedsBothTerms) {
-  // E - 3 <= E for all E >= 1: coefficient diff 0, offset diff 3.
-  EXPECT_TRUE(provedLE(SymBound{1, -3}, SymBound{1, 0}, 1));
-  // E <= 5 is unprovable for unbounded E even though it holds at E = 1.
-  EXPECT_FALSE(provedLE(SymBound{1, 0}, SymBound{0, 5}, 1));
-  // 2E - 8 <= E holds at the minimum extent 1 but fails for large E.
-  EXPECT_FALSE(provedLE(SymBound{2, -8}, SymBound{1, 0}, 1));
-  // 0 <= E - 4 only once the schedule's minimum extent reaches 4.
-  EXPECT_FALSE(provedLE(SymBound{0, 0}, SymBound{1, -4}, 1));
-  EXPECT_TRUE(provedLE(SymBound{0, 0}, SymBound{1, -4}, 4));
-  EXPECT_EQ((SymBound{2, -3}).value(10), 17);
 }
 
 //===----------------------------------------------------------------------===//

@@ -355,8 +355,6 @@ TEST(MetricsTest, JsonExportIncludesSpanAggregatesWhenAsked) {
 
 TEST(MetricsTest, FailureKindRenderersMatchTheGlossary) {
   EXPECT_STREQ(measureFailureKindLabel(MeasureFailureKind::None), "");
-  EXPECT_STREQ(measureFailureKindLabel(MeasureFailureKind::VerifierRejected),
-               "verifier_rejected");
   EXPECT_STREQ(measureFailureKindLabel(MeasureFailureKind::BuildFailed),
                "build_failed");
   EXPECT_STREQ(measureFailureKindLabel(MeasureFailureKind::NeverBuilt),
@@ -368,8 +366,8 @@ TEST(MetricsTest, FailureKindRenderersMatchTheGlossary) {
   const std::vector<std::string> &Known = obs::knownMetricNames();
   EXPECT_TRUE(std::is_sorted(Known.begin(), Known.end()));
   for (MeasureFailureKind Kind :
-       {MeasureFailureKind::VerifierRejected, MeasureFailureKind::BuildFailed,
-        MeasureFailureKind::NeverBuilt, MeasureFailureKind::RunRejected})
+       {MeasureFailureKind::BuildFailed, MeasureFailureKind::NeverBuilt,
+        MeasureFailureKind::RunRejected})
     EXPECT_NE(std::find(Known.begin(), Known.end(),
                         measureFailureMetricName(Kind)),
               Known.end())
@@ -392,8 +390,8 @@ TuneOptions nativeTuneOptions(const std::string &CacheDir) {
 long long sumOfFailureCounters(const obs::MetricsRegistry &Registry) {
   long long Sum = 0;
   for (MeasureFailureKind Kind :
-       {MeasureFailureKind::VerifierRejected, MeasureFailureKind::BuildFailed,
-        MeasureFailureKind::NeverBuilt, MeasureFailureKind::RunRejected})
+       {MeasureFailureKind::BuildFailed, MeasureFailureKind::NeverBuilt,
+        MeasureFailureKind::RunRejected})
     Sum += Registry.counterValue(measureFailureMetricName(Kind));
   return Sum;
 }
@@ -445,6 +443,38 @@ TEST(MetricsTuneTest, ColdThenWarmCacheCountsExactly) {
   for (const std::string &Name : Registry.registeredNames())
     EXPECT_NE(std::find(Known.begin(), Known.end(), Name), Known.end())
         << "unknown metric registered: " << Name;
+}
+
+// The schedule verifier is the tuner's gate and nothing downstream repeats
+// it: a tune counts exactly one verifier.checks per model-ranked candidate,
+// whichever backend measures the survivors.
+TEST(MetricsTuneTest, VerifierRunsOncePerRankedCandidate) {
+  std::unique_ptr<StencilProgram> Program =
+      makeBenchmarkStencil("j2d5pt", ScalarType::Float);
+  ASSERT_NE(Program, nullptr);
+  ProblemSize Problem = nativeMeasurementProblem(Program->numDims());
+  Problem.Extents = {96, 96};
+  Problem.TimeSteps = 4;
+  obs::MetricsRegistry &Registry = obs::MetricsRegistry::global();
+  Tuner T(GpuSpec::teslaV100());
+
+  TuneOptions Native = nativeTuneOptions(sharedCacheDir());
+  Registry.reset();
+  TuneOutcome NativeOutcome = T.tune(*Program, Problem, Native);
+  ASSERT_TRUE(NativeOutcome.Feasible) << NativeOutcome.FirstFailureReason;
+  ASSERT_FALSE(NativeOutcome.TopByModel.empty());
+  EXPECT_EQ(Registry.counterValue("verifier.checks"),
+            static_cast<long long>(NativeOutcome.TopByModel.size()));
+
+  TuneOptions Simulated;
+  Simulated.TopK = 3;
+  Simulated.Threads = 2;
+  Registry.reset();
+  TuneOutcome SimulatedOutcome = T.tune(*Program, Problem, Simulated);
+  ASSERT_TRUE(SimulatedOutcome.Feasible);
+  ASSERT_FALSE(SimulatedOutcome.TopByModel.empty());
+  EXPECT_EQ(Registry.counterValue("verifier.checks"),
+            static_cast<long long>(SimulatedOutcome.TopByModel.size()));
 }
 
 //===----------------------------------------------------------------------===//

@@ -7,8 +7,9 @@
 /// \file
 /// The schedule IR's contract with the rest of the system:
 ///
-///  1. lowerSchedule never rejects, and the verifier accepts the lowered
-///     IR exactly when BlockConfig::isFeasible accepts the configuration —
+///  1. lowerSchedule never rejects, the verifier accepts the lowered IR
+///     exactly when BlockConfig::isFeasible accepts the configuration, and
+///     the analysis pass pipeline finds no error on any feasible one —
 ///     property-tested over every enumerated configuration of every
 ///     built-in stencil.
 ///  2. The IR's derived fields encode the paper's schedule (ring depth
@@ -22,6 +23,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "analysis/ScheduleVerifier.h"
+#include "analysis/passes/AnalysisPass.h"
 #include "codegen/CppCodegen.h"
 #include "codegen/CudaCodegen.h"
 #include "schedule/ScheduleIR.h"
@@ -60,15 +62,22 @@ std::string readGolden(const std::string &FileName) {
 //===----------------------------------------------------------------------===//
 
 // lowerSchedule is total: every enumerated configuration of every builtin
-// lowers to an IR, and verifyScheduleIR proves that IR safe exactly when
-// the feasibility model accepts the configuration (thread caps excepted —
-// a hardware limit, not a schedule-safety property).
+// lowers to an IR with one invocation per degree, and the tuner's two
+// gates agree with the feasibility model on it. verifyScheduleIR proves
+// the IR safe exactly when the configuration is feasible (thread caps
+// excepted — a hardware limit, not a schedule-safety property), refutes
+// infeasible ones with AN5D-A210, and the standard pass pipeline reports
+// no error on any feasible one.
 TEST(ScheduleIrLowering, VerifierAcceptsIffFeasibleOnEveryEnumeratedConfig) {
   Tuner T(GpuSpec::teslaV100());
+  const AnalysisPassManager Passes = AnalysisPassManager::standardPipeline();
+  std::size_t Proven = 0;
   for (const std::string &Name : allBuiltinStencils()) {
     auto Program = makeBenchmarkStencil(Name, ScalarType::Float);
     ASSERT_NE(Program, nullptr) << Name;
     for (const BlockConfig &Config : T.enumerateConfigs(*Program)) {
+      ASSERT_TRUE(Config.matchesDimensionality(Program->numDims()))
+          << Name << " " << Config.toString();
       ScheduleIR IR = lowerSchedule(*Program, Config);
       // Lowering is total and structurally faithful regardless of
       // feasibility.
@@ -79,11 +88,27 @@ TEST(ScheduleIrLowering, VerifierAcceptsIffFeasibleOnEveryEnumeratedConfig) {
       ASSERT_EQ(static_cast<int>(IR.Invocations.size()), Config.BT)
           << Name << " " << Config.toString();
       const bool Feasible = Config.isFeasible(Program->radius(), INT_MAX);
-      ScheduleVerifyResult Verdict = verifyScheduleIR(IR);
+      AnalysisReport Verdict = verifyScheduleIR(IR);
       EXPECT_EQ(Verdict.proven(), Feasible)
           << Name << " " << Config.toString() << ": " << Verdict.toString();
+      if (!Feasible) {
+        EXPECT_TRUE(Verdict.hasFinding("AN5D-A210"))
+            << Name << " " << Config.toString() << ": "
+            << Verdict.toString();
+        continue;
+      }
+      AnalysisInput Input;
+      Input.Program = Program.get();
+      Input.Schedule = &IR;
+      AnalysisReport Report = Passes.run(Input);
+      EXPECT_EQ(Report.errorCount(), 0u)
+          << Name << " " << Config.toString() << ": " << Report.toString();
+      ++Proven;
     }
   }
+  // The grid is supposed to be dense; an accidentally empty sweep would
+  // vacuously pass everything above.
+  EXPECT_GT(Proven, 1000u);
 }
 
 TEST(ScheduleIrLowering, SharedInvariantsMatchEveryInvocation) {

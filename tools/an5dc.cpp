@@ -45,8 +45,8 @@
 ///                        check-program sources (ABI symbols, exact-float
 ///                        literals, banned calls, restrict qualifiers)
 ///                        and lint every JIT kernel before compiling it
-///   --analyze FILE       run the static analysis passes (tape verifier,
-///                        access-bounds prover, resource estimator) over
+///   --analyze FILE       run the schedule verifier and the static analysis
+///                        passes (tape verifier, resource estimator) over
 ///                        the configuration's lowered schedule and write
 ///                        the an5d-analysis-v1 JSON report (findings +
 ///                        resource estimates) to FILE ('-' = stdout);
@@ -746,13 +746,13 @@ int main(int Argc, char **Argv) {
     // Static proof over every temporal degree the host schedule can
     // issue, plus the Section 4.3.1 host-schedule postconditions for the
     // problem's step count. Nothing is compiled or executed.
-    ScheduleVerifyResult Verdict = verifySchedule(*Program, Config,
-                                                  &Problem);
+    ScheduleIR Lowered = lowerSchedule(*Program, Config);
+    AnalysisReport Verdict = verifyScheduleIR(Lowered, &Problem);
     if (Verdict.proven()) {
-      std::printf("verify-schedule (%s): proven safe (%d degree(s): halo "
+      std::printf("verify-schedule (%s): proven safe (%zu degree(s): halo "
                   "coverage, ring depth, wave order, write-set "
                   "disjointness)\n",
-                  Config.toString().c_str(), Verdict.DegreesChecked);
+                  Config.toString().c_str(), Lowered.Invocations.size());
     } else {
       std::fprintf(stderr, "an5dc: schedule verification failed for %s:\n%s",
                    Config.toString().c_str(), Verdict.toString().c_str());
@@ -761,16 +761,19 @@ int main(int Argc, char **Argv) {
   }
 
   if (!Options.AnalyzePath.empty()) {
-    // The dataflow pass pipeline over the lowered schedule, plus the
-    // per-candidate resource estimate, as one machine-readable report.
-    // Error-severity findings fail the invocation after the report is
-    // written — the artifact is the point, reviewers read it either way.
+    // The schedule verifier's findings and the dataflow pass pipeline's,
+    // plus the per-candidate resource estimate, as one machine-readable
+    // report. Error-severity findings fail the invocation after the report
+    // is written — the artifact is the point, reviewers read it either way.
     ScheduleIR Lowered = lowerSchedule(*Program, Config);
+    AnalysisReport Analysis = verifyScheduleIR(Lowered, &Problem);
     AnalysisInput PassInput;
     PassInput.Program = Program.get();
     PassInput.Schedule = &Lowered;
-    AnalysisReport Analysis =
+    AnalysisReport Passes =
         AnalysisPassManager::standardPipeline().run(PassInput);
+    Analysis.Findings.insert(Analysis.Findings.end(), Passes.Findings.begin(),
+                             Passes.Findings.end());
     ResourceEstimate Resources = estimateResources(*Program, Lowered);
 
     std::string Json = "{\"schema\":\"an5d-analysis-v1\",\"stencil\":";
